@@ -9,9 +9,15 @@
     exhaustively when the count is reasonable and falls back to random
     sampling otherwise.
 
-    The exhaustive enumeration walks an in-place index array and fills a
-    reused crash-time scratch straight from it (no per-subset allocation),
-    evaluating against a compiled replay simulator ({!Replay.compile});
+    Evaluation is batched: crash sets are judged in blocks of
+    {!Monte_carlo.batch_block} through {!Replay.eval_batch}, whose block
+    of crash-time arrays is allocated once per enumeration and refilled
+    from an in-place index array (no per-subset list).  Each block is
+    scanned in enumeration (or draw) order and the check stops at the
+    first set that starves a task, so the report — verdict,
+    [scenarios_checked], counterexample, [worst_latency] — is exactly
+    the one judging set by set would give.  Each enumeration compiles
+    its own engine, which is garbage once [check] returns.
     {!combinations} remains as a list-producing wrapper for tests.  With
     [?domains > 1] the rank space of the enumeration is sharded into
     contiguous ranges, one per domain, and the {e lowest-rank}
@@ -80,8 +86,8 @@ val check :
 
 val combinations : int -> int -> int list Seq.t
 (** [combinations n k] enumerates all increasing [k]-subsets of
-    [\[0, n-1\]] in lexicographic order (thin wrapper over the Bitset
-    enumeration, exposed for tests). *)
+    [\[0, n-1\]] in lexicographic order (a persistent sequence over the
+    check's own successor step, exposed for tests). *)
 
 val count_combinations : int -> int -> int
 (** Binomial coefficient, saturating at [max_int]. *)

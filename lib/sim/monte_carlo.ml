@@ -53,9 +53,26 @@ let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?pool ?(batch = true)
         Obs_metrics.incr ~by:runs m_scenarios;
         Scenario.draw_block rng ~m ~count:crashes ~mode:smode ~runs)
   in
-  (* One compiled simulator per domain: a [compiled] value owns its
-     scratch arena and must not be shared. *)
-  let sim = Domain.DLS.new_key (fun () -> Replay.compile ?fabric sched) in
+  (* A [compiled] value owns its scratch arena and must not be shared, so
+     each worker pops an engine off this run's stash (compiling one on a
+     miss) and pushes it back after its item: at most one compile per
+     concurrent worker, and every engine dies with the run. *)
+  let stash = ref [] and stash_lock = Mutex.create () in
+  let take () =
+    Mutex.protect stash_lock (fun () ->
+        match !stash with
+        | c :: rest ->
+            stash := rest;
+            Some c
+        | [] -> None)
+  in
+  let with_engine f =
+    let c =
+      match take () with Some c -> c | None -> Replay.compile ?fabric sched
+    in
+    f c;
+    Mutex.protect stash_lock (fun () -> stash := c :: !stash)
+  in
   (* Degradation tracking only engages beyond the tolerance the schedule
      was built for: within epsilon the completion fraction is constantly
      1.0 (Proposition 5.2) and the plain latency path stays bit-identical
@@ -82,7 +99,7 @@ let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?pool ?(batch = true)
        (* profiled but untraced: one span per block would still drown the
           timeline the [point]/[replay] spans already structure *)
        Obs_prof.phase ~trace:false "montecarlo.eval" @@ fun () ->
-       let c = Domain.DLS.get sim in
+       with_engine @@ fun c ->
        let start = b * batch_block in
        let len = min batch_block (runs - start) in
        let res =
@@ -104,7 +121,7 @@ let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?pool ?(batch = true)
      let eval_one i =
        Obs_prof.phase ~trace:false "montecarlo.eval" @@ fun () ->
        Cancel.check cancel;
-       let c = Domain.DLS.get sim in
+       with_engine @@ fun c ->
        let crash_time = scenarios.(i).Scenario.sc_crash_time in
        if not beyond then lat.(i) <- Replay.eval_latency c ~crash_time
        else begin
@@ -140,10 +157,10 @@ let run ?(seed = 20) ?(runs = 1000) ?(domains = 1) ?pool ?(batch = true)
   let degradation =
     if not beyond then None
     else begin
-      (* the caller domain's compiled simulator carries the constant
-         denominators; reconstructing the per-run record keeps the float
-         operations identical to the historical per-record fold *)
-      let c0 = Domain.DLS.get sim in
+      (* any stashed engine carries the constant denominators;
+         reconstructing the per-run record keeps the float operations
+         identical to the historical per-record fold *)
+      let c0 = List.hd !stash in
       let task_count = Replay.task_count c0 in
       let sink_count = Replay.sink_count c0 in
       let n = float_of_int runs in

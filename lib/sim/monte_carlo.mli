@@ -64,7 +64,9 @@ val run :
     schedule, [failure_rate] is [0.] by Proposition 5.2.
 
     [domains] (default [1]) spreads the replays over OCaml domains with
-    one compiled simulator per domain ({!Replay.compile}).  Passing
+    at most one compiled simulator per concurrent worker
+    ({!Replay.compile}), held in a stash that is garbage once [run]
+    returns.  Passing
     [pool] instead evaluates on a persistent {!Parallel.pool} (and
     ignores [domains]): a campaign of many [run] calls then spawns its
     domains exactly once.  All scenarios are pre-drawn from the root RNG

@@ -254,6 +254,36 @@ let test_fault_check_matches_sequential_semantics () =
   Helpers.check_bool "checked within total" true
     (r.Fault_check.scenarios_checked <= Fault_check.count_combinations 6 2)
 
+let test_engines_die_with_their_run () =
+  (* Monte-Carlo and the crash check compile their replay engines per
+     call; once a call returns, nothing may keep its engines alive *)
+  let _, costs = Helpers.random_instance ~seed:11 ~m:20 ~tasks:40 () in
+  let sched = Caft.run ~epsilon:5 costs in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let calls () =
+    ignore
+      (Monte_carlo.run ~runs:32 ~crashes:5 ~mode:Monte_carlo.From_start sched
+        : Monte_carlo.report);
+    ignore (Fault_check.check ~epsilon:1 sched : Fault_check.report)
+  in
+  (* first calls register their metric shards and profiler phases *)
+  calls ();
+  let before = live () in
+  let c = Replay.compile sched in
+  let engine_words = live () - before in
+  ignore (Sys.opaque_identity c);
+  for _ = 1 to 30 do
+    calls ()
+  done;
+  let grown = live () - before in
+  if grown >= engine_words then
+    Alcotest.failf
+      "30 Monte-Carlo runs + 30 checks kept %d live words (one engine: %d)"
+      grown engine_words
+
 let test_draw_block_stream () =
   (* [Scenario.draw_block] must consume the root generator stream exactly
      as the historical per-scenario [uniform_procs] / [timed] draws did —
@@ -320,6 +350,8 @@ let suite =
       test_fault_check_domains;
     Alcotest.test_case "fault-check counterexample semantics" `Quick
       test_fault_check_matches_sequential_semantics;
+    Alcotest.test_case "replay engines die with their run" `Quick
+      test_engines_die_with_their_run;
     Alcotest.test_case "draw_block ≡ per-scenario stream" `Quick
       test_draw_block_stream;
     Alcotest.test_case "subset_at_rank ≡ combinations" `Quick
